@@ -387,10 +387,14 @@ void BM_CheckpointWrite(benchmark::State& state) {
   doc.servers = inst.model.num_servers();
   doc.objects = inst.model.num_objects();
   doc.placement = placement_pairs(inst.x_old);
+  // Four queued epochs that swing between X_new and X_old, so each entry
+  // stores the whole X_old/X_new difference.
+  const PairList old_pairs = placement_pairs(inst.x_old);
+  const PairList new_pairs = placement_pairs(inst.x_new);
   for (std::uint64_t i = 0; i < 4; ++i) {
     CheckpointQueueEntry entry;
     entry.seq = 9 + i;
-    entry.target = placement_pairs(inst.x_new);
+    entry.target = i % 2 == 0 ? pair_delta(old_pairs, new_pairs) : pair_delta(new_pairs, old_pairs);
     doc.queue.push_back(std::move(entry));
   }
   const std::string path =

@@ -1,5 +1,6 @@
 #!/usr/bin/env sh
-# Tier-1 verification: configure, build, run the test suite, then prove the
+# Tier-1 verification: configure, build, run the test suite (and the
+# socket/daemon tests 20 times over, to catch ordering races), then prove the
 # tree still builds and passes with the obs instrumentation (metrics, trace,
 # provenance) compiled out via the obs_off_smoke target. Finishes with the
 # scale_smoke guard (M=500, N=100k generate -> binary round-trip -> serial
@@ -211,6 +212,11 @@ fi
 cmake -B "$BUILD_DIR" -S .
 cmake --build "$BUILD_DIR" -j "$JOBS"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
+
+# The socket and daemon tests race real threads; a one-in-25 ordering bug
+# only shows under repetition.
+ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
+  --repeat until-fail:20 -R "Introspect|Net|Daemon"
 
 # RTSP_OBS=OFF must still build (provenance hooks fold away) and pass tests.
 cmake --build "$BUILD_DIR" -t obs_off_smoke

@@ -1,6 +1,7 @@
 #include "core/delta.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "support/assert.hpp"
 
@@ -10,6 +11,28 @@ PlacementDelta::PlacementDelta(const ReplicationMatrix& x_old,
                                const ReplicationMatrix& x_new) {
   RTSP_REQUIRE(x_old.num_servers() == x_new.num_servers());
   RTSP_REQUIRE(x_old.num_objects() == x_new.num_objects());
+  if (x_old.is_dense() && x_new.is_dense()) {
+    // Row-major words in ascending order keep both lists (server, object)
+    // sorted; only the words that differ are decoded, which matters when a
+    // few replicas of a large placement move (a daemon epoch).
+    const std::vector<std::uint64_t>& a = x_old.words();
+    const std::vector<std::uint64_t>& b = x_new.words();
+    const std::size_t per_row = a.empty() ? 1 : a.size() / x_old.num_servers();
+    const auto decode = [per_row](std::size_t w, std::uint64_t bits,
+                                  std::vector<Replica>& out) {
+      for (; bits != 0; bits &= bits - 1) {
+        out.push_back({static_cast<ServerId>(w / per_row),
+                       static_cast<ObjectId>((w % per_row) * 64 +
+                                             static_cast<std::size_t>(std::countr_zero(bits)))});
+      }
+    };
+    for (std::size_t w = 0; w < a.size(); ++w) {
+      if (a[w] == b[w]) continue;
+      decode(w, b[w] & ~a[w], outstanding_);
+      decode(w, a[w] & ~b[w], superfluous_);
+    }
+    return;
+  }
   for (ServerId i = 0; i < x_old.num_servers(); ++i) {
     x_new.for_each_object(i, [&](ObjectId k) {
       if (!x_old.test(i, k)) outstanding_.push_back({i, k});

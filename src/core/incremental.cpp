@@ -64,6 +64,26 @@ void PrefixStateCache::refresh(const Schedule& base, std::size_t from) {
   }
 }
 
+PositionIndex::PositionIndex(std::size_t servers, std::size_t objects,
+                             const Schedule& h)
+    : by_server_(servers), by_object_(objects) {
+  refresh(Schedule(), h, 0);
+}
+
+void PositionIndex::refresh(const Schedule& old_h, const Schedule& h,
+                            std::size_t from) {
+  // Lists are ascending, so popping old_h's actions from the back removes
+  // exactly the entries at positions >= from.
+  for (std::size_t u = old_h.size(); u > from; --u) {
+    by_server_[old_h[u - 1].server].pop_back();
+    by_object_[old_h[u - 1].object].pop_back();
+  }
+  for (std::size_t u = from; u < h.size(); ++u) {
+    by_server_[h[u].server].push_back(u);
+    by_object_[h[u].object].push_back(u);
+  }
+}
+
 IncrementalEvaluator::IncrementalEvaluator(const SystemModel& model,
                                            const ReplicationMatrix& x_old,
                                            const ReplicationMatrix& x_new,
@@ -73,6 +93,7 @@ IncrementalEvaluator::IncrementalEvaluator(const SystemModel& model,
       x_new_(x_new),
       base_(std::move(base)),
       cache_(model, x_old, base_),
+      index_(model.num_servers(), model.num_objects(), base_),
       scratch_(model, x_old) {
   rebuild_summary();
 }
@@ -216,6 +237,7 @@ void IncrementalEvaluator::adopt(Schedule cand, const Metrics& m) {
   }
   cost_ = m.cost;
   dummies_ = m.dummy_transfers;
+  index_.refresh(base_, cand, m.prefix);
   base_ = std::move(cand);
   base_valid_ = true;  // adopt() is only reachable through is_valid()
   cache_.refresh(base_, m.prefix);
@@ -226,6 +248,7 @@ void IncrementalEvaluator::reset(Schedule base) {
   base_ = std::move(base);
   rebuild_summary();
   cache_ = PrefixStateCache(model_, x_old_, base_);
+  index_ = PositionIndex(model_.num_servers(), model_.num_objects(), base_);
 }
 
 }  // namespace rtsp

@@ -17,7 +17,10 @@
 //     diff window and early-exits as soon as the candidate's state
 //     re-converges with the base execution at an aligned suffix position:
 //     identical states + identical remaining actions imply the candidate's
-//     suffix replays exactly like the (valid) base's, ending in X_new.
+//     suffix replays exactly like the (valid) base's, ending in X_new;
+//   * PositionIndex lists the base schedule's positions per server and per
+//     object, so improvers can walk one server's or one object's events
+//     (and screen candidates from them) without scanning the schedule.
 //
 // All query methods are const and thread-safe against concurrent queries
 // when given distinct Scratch objects; adopt()/reset() require exclusive
@@ -77,8 +80,27 @@ class PrefixStateCache {
   std::size_t spacing_ = 1;
 };
 
-/// Holds a base schedule plus its cost, dummy count, validity and prefix
-/// checkpoints, and answers "what would this candidate cost / is it valid"
+/// Ascending positions of a schedule's actions per acting server (a
+/// transfer's destination, a deletion's server) and per object.
+class PositionIndex {
+ public:
+  PositionIndex(std::size_t servers, std::size_t objects, const Schedule& h);
+
+  const std::vector<std::size_t>& of_server(ServerId i) const { return by_server_[i]; }
+  const std::vector<std::size_t>& of_object(ObjectId k) const { return by_object_[k]; }
+
+  /// `old_h` was replaced by `h`, and both share their first `from` actions:
+  /// drops the entries at positions >= from and adds h's.
+  /// O(old_h.size() + h.size() - 2 * from).
+  void refresh(const Schedule& old_h, const Schedule& h, std::size_t from);
+
+ private:
+  std::vector<std::vector<std::size_t>> by_server_;
+  std::vector<std::vector<std::size_t>> by_object_;
+};
+
+/// Holds a base schedule plus its cost, dummy count, validity, prefix
+/// checkpoints and position index, and answers "what would this candidate cost / is it valid"
 /// in time proportional to the candidate's diff window.
 class IncrementalEvaluator {
  public:
@@ -142,6 +164,9 @@ class IncrementalEvaluator {
     cache_.state_before(base_, pos, out);
   }
 
+  /// Per-server and per-object positions of the base schedule.
+  const PositionIndex& positions() const { return index_; }
+
   /// Attaches an anytime budget meter (may be null to detach). metrics() and
   /// is_valid() then charge ticks proportional to the work they do, and the
   /// budget-aware improvers poll out_of_budget() at their deterministic stop
@@ -152,7 +177,8 @@ class IncrementalEvaluator {
   bool out_of_budget() const { return meter_ != nullptr && meter_->exhausted(); }
 
   /// Replaces the base with a candidate previously accepted via metrics() +
-  /// is_valid(); refreshes checkpoints from m.prefix on. Exclusive access.
+  /// is_valid(); refreshes checkpoints and positions from m.prefix on.
+  /// Exclusive access.
   void adopt(Schedule cand, const Metrics& m);
 
   /// Replaces the base with an arbitrary schedule (full rebuild).
@@ -172,6 +198,7 @@ class IncrementalEvaluator {
   std::size_t dummies_ = 0;
   bool base_valid_ = false;
   PrefixStateCache cache_;
+  PositionIndex index_;
   Scratch scratch_;
   WorkMeter* meter_ = nullptr;
 };

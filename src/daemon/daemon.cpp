@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/delta.hpp"
 #include "core/feasibility.hpp"
 #include "core/validator.hpp"
 #include "exec/executor.hpp"
@@ -60,6 +61,26 @@ std::uint64_t fingerprint64(const std::vector<unsigned char>& buf) {
   const std::uint32_t lo = crc32_ieee(buf.data(), buf.size());
   const std::uint32_t hi = crc32_ieee(buf.data(), buf.size(), lo ^ 0x9e3779b9u);
   return (static_cast<std::uint64_t>(hi) << 32) | lo;
+}
+
+/// The difference that turns placement `from` into `to`, as canonical pairs.
+PairDelta target_delta(const ReplicationMatrix& from, const ReplicationMatrix& to) {
+  const PlacementDelta d(from, to);
+  PairDelta out;
+  for (const Replica& r : d.outstanding()) out.added.emplace_back(r.server, r.object);
+  for (const Replica& r : d.superfluous()) out.removed.emplace_back(r.server, r.object);
+  return out;
+}
+
+/// Stores `e`'s difference from the entry it will follow in `queue`: an
+/// admission goes behind the newest entry, or behind the one before it when
+/// it replaces (coalesces) the newest.
+void attach_delta(PendingEpoch& e, const EpochQueue& queue, bool replaces_newest) {
+  const std::size_t ahead = queue.size() - (replaces_newest ? 1 : 0);
+  if (ahead == 0) return;  // it becomes the front: diffed at checkpoint time
+  const PendingEpoch& previous = queue.entries()[ahead - 1];
+  e.delta_base = previous.seq;
+  e.delta = target_delta(previous.target, e.target);
 }
 
 void validate_options(const DaemonOptions& o) {
@@ -225,6 +246,7 @@ AdmitResult DaemonCore::admit(const ReplicationMatrix& target) {
 
   last_seq_ = rec.seq;
   PendingEpoch e{rec.seq, 1, rec.clock, target};
+  attach_delta(e, queue_, rec.replaces != 0);
   if (rec.replaces != 0) {
     queue_.replace(rec.replaces, std::move(e));
     ++counters_.coalesced;
@@ -405,9 +427,17 @@ CheckpointDoc DaemonCore::snapshot_locked() const {
   doc.model_crc = model_fingerprint(model_);
   doc.placement = placement_pairs(x_cur_);
   doc.counters = counters_;
-  for (const PendingEpoch& e : queue_.entries()) {
-    doc.queue.push_back(CheckpointQueueEntry{e.seq, e.attempt, e.not_before,
-                                             placement_pairs(e.target)});
+  // Each entry is written as its difference from the entry before it (the
+  // front's from the placement). The difference admission stored is reused
+  // when that entry is still the one before it; otherwise (the front, or an
+  // entry a re-admission was slotted in front of) it is computed here.
+  const std::vector<PendingEpoch>& entries = queue_.entries();
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    const PendingEpoch& e = entries[i];
+    const bool stored = i > 0 && e.delta_base == entries[i - 1].seq;
+    doc.queue.push_back(CheckpointQueueEntry{
+        e.seq, e.attempt, e.not_before,
+        stored ? e.delta : target_delta(i == 0 ? x_cur_ : entries[i - 1].target, e.target)});
   }
   return doc;
 }
@@ -478,10 +508,16 @@ void DaemonCore::recover(const ReplicationMatrix& x_start, RecoverReport& report
     counters_ = doc.counters;
     try {
       x_cur_ = placement_from_pair_list(doc.servers, doc.objects, doc.placement);
-      for (const CheckpointQueueEntry& q : doc.queue) {
-        queue_.push(PendingEpoch{
-            q.seq, q.attempt, q.not_before,
-            placement_from_pair_list(doc.servers, doc.objects, q.target)});
+      const std::vector<PairList> targets = checkpoint_queue_targets(doc);
+      for (std::size_t i = 0; i < doc.queue.size(); ++i) {
+        const CheckpointQueueEntry& q = doc.queue[i];
+        PendingEpoch p{q.seq, q.attempt, q.not_before,
+                       placement_from_pair_list(doc.servers, doc.objects, targets[i])};
+        if (i > 0) {
+          p.delta_base = doc.queue[i - 1].seq;
+          p.delta = q.target;
+        }
+        queue_.push(std::move(p));
       }
     } catch (const std::exception& e) {
       throw DaemonError(std::string("corrupt checkpoint: ") + e.what());
@@ -528,6 +564,7 @@ void DaemonCore::recover(const ReplicationMatrix& x_start, RecoverReport& report
               throw DaemonError(std::string("wal admit record: ") + e.what());
             }
             PendingEpoch e{rec.seq, rec.attempt, rec.clock, std::move(target)};
+            attach_delta(e, queue_, rec.replaces != 0);
             if (rec.replaces != 0) {
               bool present = false;
               for (const PendingEpoch& p : queue_.entries()) {

@@ -18,6 +18,7 @@
 
 #include "core/replication.hpp"
 #include "exec/fault_model.hpp"
+#include "io/checkpoint_io.hpp"
 
 namespace rtsp::daemon {
 
@@ -29,6 +30,11 @@ struct PendingEpoch {
   std::uint32_t attempt = 1;  ///< 1 on admission, bumped per re-admission
   Tick not_before = 0;        ///< earliest virtual clock at which to run
   ReplicationMatrix target;
+  /// `target` as the difference from the target of epoch `delta_base`
+  /// (0: none), computed once at admission so that checkpoints write a
+  /// backlog in O(moves) instead of O(placement) per epoch.
+  std::uint64_t delta_base = 0;
+  PairDelta delta{};
 };
 
 /// What admission does when the queue is full.

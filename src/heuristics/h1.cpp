@@ -1,58 +1,20 @@
 #include "heuristics/h1.hpp"
 
-#include "heuristics/surgery.hpp"
 #include "obs/obs.hpp"
 
 namespace rtsp {
 
 namespace {
 
-class H1Run {
+/// H1's rewrite of one dummy transfer, with the recursion of case (iii).
+class H1Rewriter {
  public:
-  H1Run(IncrementalEvaluator& eval, const H1Options& options)
+  H1Rewriter(const IncrementalEvaluator& eval, const H1Options& options)
       : eval_(eval),
         model_(eval.model()),
         x_old_(eval.x_old()),
         options_(options),
         prefix_state_(eval.model(), eval.x_old()) {}
-
-  void run() {
-    for (int pass = 0; pass < options_.max_passes; ++pass) {
-      OBS_SPAN("h1.pass", "pass=" + std::to_string(pass));
-      prov::note_pass(pass);
-      bool changed = false;
-      std::size_t u = 0;
-      while (u < eval_.schedule().size()) {
-        if (eval_.schedule()[u].is_dummy_transfer()) {
-          // Anytime budget poll (deterministic stop point: per candidate).
-          if (eval_.out_of_budget()) return;
-          if (try_restore_at(u)) {
-            // All mutations live at indices <= u, so the tail is intact and
-            // the scan may simply continue.
-            changed = true;
-          }
-        }
-        ++u;
-      }
-      if (!changed) break;  // new dummies from case (iii) need another pass
-    }
-  }
-
- private:
-  /// Transactional attempt: adopts the rewrite only when it validates and
-  /// strictly reduces the dummy count.
-  bool try_restore_at(std::size_t u) {
-    OBS_COUNT("h1.candidates");
-    cand_ = eval_.schedule();
-    EditWindow touched;
-    if (!restore_dummy(cand_, u, 0, touched)) return false;
-    const auto m = eval_.metrics(cand_, touched.lo, cand_.size() - touched.hi);
-    if (m.dummy_transfers >= eval_.dummy_transfers()) return false;
-    if (!eval_.is_valid(cand_, m)) return false;
-    eval_.adopt(std::move(cand_), m);
-    OBS_COUNT("h1.adopted");
-    return true;
-  }
 
   /// Moves the dummy transfer at `u` before the nearest preceding deletion
   /// of its object and repairs capacity. Mutates `cand`; may leave it
@@ -102,6 +64,12 @@ class H1Run {
     return true;
   }
 
+  /// The state restore_dummy keeps before the deletion it moves a dummy to.
+  /// H1Run lends it to the screen as scratch: restore_dummy refills it
+  /// before every use, so the run pays for one ExecutionState, not two.
+  ExecutionState& prefix_state() { return prefix_state_; }
+
+ private:
   static std::size_t find_dummy(const Schedule& h, const Action& signature) {
     for (std::size_t p = 0; p < h.size(); ++p) {
       const Action& a = h[p];
@@ -113,15 +81,88 @@ class H1Run {
     return npos;
   }
 
-  IncrementalEvaluator& eval_;
+  const IncrementalEvaluator& eval_;
   const SystemModel& model_;
   const ReplicationMatrix& x_old_;
   const H1Options& options_;
   ExecutionState prefix_state_;
+};
+
+class H1Run {
+ public:
+  H1Run(IncrementalEvaluator& eval, const H1Options& options)
+      : eval_(eval), rewriter_(eval, options), options_(options) {}
+
+  void run() {
+    for (int pass = 0; pass < options_.max_passes; ++pass) {
+      OBS_SPAN("h1.pass", "pass=" + std::to_string(pass));
+      prov::note_pass(pass);
+      bool changed = false;
+      std::size_t u = 0;
+      while (u < eval_.schedule().size()) {
+        if (eval_.schedule()[u].is_dummy_transfer()) {
+          // Anytime budget poll (deterministic stop point: per candidate).
+          if (eval_.out_of_budget()) return;
+          if (try_restore_at(u)) {
+            // All mutations live at indices <= u, so the tail is intact and
+            // the scan may simply continue.
+            changed = true;
+          }
+        }
+        ++u;
+      }
+      if (!changed) break;  // new dummies from case (iii) need another pass
+    }
+  }
+
+ private:
+  /// Transactional attempt: adopts the rewrite only when it validates and
+  /// strictly reduces the dummy count. Rewrites the screen proves losing are
+  /// never built.
+  bool try_restore_at(std::size_t u) {
+    OBS_COUNT("h1.candidates");
+    if (h1_screen(eval_, u, rewriter_.prefix_state()) != RelocationVerdict::kOpen) {
+      return false;
+    }
+    cand_ = eval_.schedule();
+    EditWindow touched;
+    if (!rewriter_.restore_dummy(cand_, u, 0, touched)) return false;
+    const auto m = eval_.metrics(cand_, touched.lo, cand_.size() - touched.hi);
+    if (m.dummy_transfers >= eval_.dummy_transfers()) return false;
+    if (!eval_.is_valid(cand_, m)) return false;
+    eval_.adopt(std::move(cand_), m);
+    OBS_COUNT("h1.adopted");
+    return true;
+  }
+
+  IncrementalEvaluator& eval_;
+  H1Rewriter rewriter_;
+  const H1Options& options_;
   Schedule cand_;  ///< candidate buffer, reused across attempts
 };
 
 }  // namespace
+
+RelocationVerdict h1_screen(const IncrementalEvaluator& eval, std::size_t dummy,
+                            ExecutionState& scratch) {
+  const Schedule& h = eval.schedule();
+  const ServerId i = h[dummy].server;
+  const ObjectId k = h[dummy].object;
+  const std::size_t d_pos = preceding_deletion(eval, dummy, k);
+  // No rewrite exists (restore_dummy's own early exits).
+  if (d_pos == npos || h[d_pos].server == i) return RelocationVerdict::kNoRoom;
+  eval.state_before(d_pos, scratch);
+  // The moved transfer replaces the dummy at `dummy`, and pulls stay in
+  // between; orphaned readers become dummies that H1 tries to restore.
+  return screen_relocation(eval, scratch,
+                           Relocation{i, k, d_pos, dummy, dummy, OrphanPolicy::Dummy});
+}
+
+bool h1_candidate(const IncrementalEvaluator& eval, std::size_t dummy,
+                  const H1Options& options, Schedule& cand, EditWindow& touched) {
+  cand = eval.schedule();
+  return H1Rewriter(eval, options).restore_dummy(cand, dummy, 0, touched);
+}
 
 Schedule H1Improver::improve(const SystemModel& model, const ReplicationMatrix& x_old,
                              const ReplicationMatrix& x_new, Schedule schedule,

@@ -13,6 +13,7 @@
 #pragma once
 
 #include "heuristics/scheduler.hpp"
+#include "heuristics/surgery.hpp"
 
 namespace rtsp {
 
@@ -26,6 +27,21 @@ struct H1Options {
   /// Safety cap on restart passes over the schedule.
   int max_passes = 64;
 };
+
+/// Screens H1's rewrite of the dummy transfer at base position `dummy`
+/// from its destination's own events (screen_relocation): kNoRoom and
+/// kRejected prove that h1_candidate's rewrite is not adopted. kNoRoom also
+/// covers dummies with no rewrite at all. `scratch` receives the engine's
+/// state before the preceding deletion.
+RelocationVerdict h1_screen(const IncrementalEvaluator& eval, std::size_t dummy,
+                            ExecutionState& scratch);
+
+/// Builds H1's rewrite of the dummy transfer at base position `dummy` into
+/// `cand`, noting the positions it touched; false when no rewrite exists.
+/// H1 adopts the rewrite iff it has fewer dummy transfers than the base and
+/// the engine's is_valid accepts it.
+bool h1_candidate(const IncrementalEvaluator& eval, std::size_t dummy,
+                  const H1Options& options, Schedule& cand, EditWindow& touched);
 
 class H1Improver final : public ScheduleImprover {
  public:

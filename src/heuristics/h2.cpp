@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <optional>
 
-#include "heuristics/surgery.hpp"
 #include "obs/obs.hpp"
 
 namespace rtsp {
@@ -15,7 +14,6 @@ class H2Run {
   H2Run(IncrementalEvaluator& eval, const H2Options& options)
       : eval_(eval),
         model_(eval.model()),
-        x_old_(eval.x_old()),
         options_(options),
         prefix_state_(eval.model(), eval.x_old()) {}
 
@@ -55,7 +53,7 @@ class H2Run {
     const Schedule& h = eval_.schedule();
     const ServerId dest = h[u].server;  // the paper's S_i'
     const ObjectId k = h[u].object;
-    const std::size_t d_pos = find_preceding_deletion(h, u, k);
+    const std::size_t d_pos = preceding_deletion(eval_, u, k);
     if (d_pos == npos) return std::nullopt;
     const ServerId deleter = h[d_pos].server;  // the paper's S_i''
 
@@ -81,78 +79,105 @@ class H2Run {
                        return a.added_cost < b.added_cost;
                      });
 
-    // Direct path: hosts that already have room at d_pos.
+    // Direct path: hosts that already have room at d_pos. The rewrite only
+    // inserts actions at or before u+2.
     for (const Candidate& c : candidates) {
-      if (!c.has_space) continue;
-      cand_ = h;
-      cand_.insert(d_pos, Action::transfer(c.host, k, deleter));
-      // Everything from d_pos on shifted one right; the dummy sits at u+1.
-      cand_[u + 1] = Action::transfer(dest, k, c.host);
-      cand_.insert(u + 2, Action::remove(c.host, k));
-      // Untouched: the prefix [0, d_pos) and everything past the inserted
-      // removal (the candidate is 2 actions longer than the base).
-      const auto m = eval_.metrics(cand_, d_pos, cand_.size() - (u + 3));
-      if (accept(m)) {
-        eval_.adopt(std::move(cand_), m);
-        return false;
-      }
+      if (c.has_space && try_pair({u, d_pos, c.host})) return false;
     }
 
     // Fallback: create room on a host by pulling its later deletions of
     // superfluous replicas forward (the validity check plus the strict
     // dummy-count gate enforce the paper's "one replica must survive per
-    // object" condition).
+    // object" condition). Pulls may move actions after u.
     std::size_t tried = 0;
     for (const Candidate& c : candidates) {
       if (c.has_space) continue;
       if (tried++ >= options_.max_fallback_hosts) break;
-      cand_ = h;
-      cand_.insert(d_pos, Action::transfer(c.host, k, deleter));
-      // prefix_state_ is still the lenient state before d_pos, which is
-      // exactly the state before the just-inserted transfer.
-      const auto repair =
-          pull_deletions_for_space(model_, x_old_, cand_, d_pos, cand_.size() - 1,
-                                   OrphanPolicy::NearestElseDummy,
-                                   /*touched=*/nullptr, &prefix_state_);
-      if (!repair.ok) continue;
-      // Pulls may have shifted the dummy transfer; locate it again.
-      std::size_t dummy_pos = npos;
-      for (std::size_t p = repair.t_pos + 1; p < cand_.size(); ++p) {
-        const Action& a = cand_[p];
-        if (a.is_dummy_transfer() && a.server == dest && a.object == k) {
-          dummy_pos = p;
-          break;
-        }
-      }
-      if (dummy_pos == npos) continue;
-      cand_[dummy_pos] = Action::transfer(dest, k, c.host);
-      cand_.insert(dummy_pos + 1, Action::remove(c.host, k));
-      const auto m = eval_.metrics(cand_, d_pos, 0);
-      if (accept(m)) {
-        eval_.adopt(std::move(cand_), m);
-        return true;
-      }
+      if (try_pair({u, d_pos, c.host})) return true;
     }
     return std::nullopt;
   }
 
-  bool accept(const IncrementalEvaluator::Metrics& m) {
+  /// Screens, builds and gates one pair; adopts it when it passes.
+  /// "h2.candidates" counts every pair whose rewrite H2 builds or that the
+  /// screen rejects after making room, exactly the pairs that reach the
+  /// dummy-count gate without the screen.
+  bool try_pair(const H2Pair& pair) {
+    switch (h2_screen(eval_, prefix_state_, pair)) {
+      case RelocationVerdict::kNoRoom: return false;
+      case RelocationVerdict::kRejected: OBS_COUNT("h2.candidates"); return false;
+      case RelocationVerdict::kOpen: break;
+    }
+    const auto m = h2_candidate(eval_, prefix_state_, pair, cand_);
+    if (!m) return false;
     OBS_COUNT("h2.candidates");
-    if (m.dummy_transfers >= eval_.dummy_transfers()) return false;
-    if (!eval_.is_valid(cand_, m)) return false;
+    if (m->dummy_transfers >= eval_.dummy_transfers()) return false;
+    if (!eval_.is_valid(cand_, *m)) return false;
     OBS_COUNT("h2.adopted");
+    eval_.adopt(std::move(cand_), *m);
     return true;
   }
 
   IncrementalEvaluator& eval_;
   const SystemModel& model_;
-  const ReplicationMatrix& x_old_;
   const H2Options& options_;
   ExecutionState prefix_state_;
   Schedule cand_;  ///< candidate buffer, reused across attempts
 };
 
 }  // namespace
+
+RelocationVerdict h2_screen(const IncrementalEvaluator& eval, const ExecutionState& before,
+                            const H2Pair& pair) {
+  const Schedule& h = eval.schedule();
+  // The host's copy replaces the dummy at pair.dummy; pulls may reach the
+  // end of the schedule, and readers left without a holder become dummies.
+  return screen_relocation(eval, before,
+                           Relocation{pair.host, h[pair.dummy].object, pair.deletion,
+                                      pair.dummy, h.size(),
+                                      OrphanPolicy::NearestElseDummy});
+}
+
+std::optional<IncrementalEvaluator::Metrics> h2_candidate(const IncrementalEvaluator& eval,
+                                                          const ExecutionState& before,
+                                                          const H2Pair& pair, Schedule& cand) {
+  const SystemModel& model = eval.model();
+  const Schedule& h = eval.schedule();
+  const std::size_t u = pair.dummy;
+  const std::size_t d_pos = pair.deletion;
+  const ServerId dest = h[u].server;
+  const ObjectId k = h[u].object;
+  cand = h;
+  cand.insert(d_pos, Action::transfer(pair.host, k, h[d_pos].server));
+  if (before.free_space(pair.host) >= model.object_size(k)) {
+    // Everything from d_pos on shifted one right; the dummy sits at u+1.
+    cand[u + 1] = Action::transfer(dest, k, pair.host);
+    cand.insert(u + 2, Action::remove(pair.host, k));
+    // Untouched: the prefix [0, d_pos) and everything past the inserted
+    // removal (the candidate is 2 actions longer than the base).
+    return eval.metrics(cand, d_pos, cand.size() - (u + 3));
+  }
+  // `before` is the state before d_pos, which is exactly the state before
+  // the just-inserted transfer.
+  const auto repair = pull_deletions_for_space(model, eval.x_old(), cand, d_pos,
+                                               cand.size() - 1,
+                                               OrphanPolicy::NearestElseDummy,
+                                               /*touched=*/nullptr, &before);
+  if (!repair.ok) return std::nullopt;
+  // Pulls may have shifted the dummy transfer; locate it again.
+  std::size_t dummy_pos = npos;
+  for (std::size_t p = repair.t_pos + 1; p < cand.size(); ++p) {
+    const Action& a = cand[p];
+    if (a.is_dummy_transfer() && a.server == dest && a.object == k) {
+      dummy_pos = p;
+      break;
+    }
+  }
+  if (dummy_pos == npos) return std::nullopt;
+  cand[dummy_pos] = Action::transfer(dest, k, pair.host);
+  cand.insert(dummy_pos + 1, Action::remove(pair.host, k));
+  return eval.metrics(cand, d_pos, 0);
+}
 
 Schedule H2Improver::improve(const SystemModel& model, const ReplicationMatrix& x_old,
                              const ReplicationMatrix& x_new, Schedule schedule,

@@ -10,9 +10,36 @@
 // kept only when they validate and strictly reduce the dummy count.
 #pragma once
 
+#include <optional>
+
 #include "heuristics/scheduler.hpp"
+#include "heuristics/surgery.hpp"
 
 namespace rtsp {
+
+/// One (dummy transfer, host) pair H2 considers: stage the dummy's object on
+/// `host`, copied from the deleting server just before the base deletion at
+/// `deletion`, and re-source the dummy at base position `dummy` to the host.
+struct H2Pair {
+  std::size_t dummy = 0;
+  std::size_t deletion = 0;
+  ServerId host = 0;
+};
+
+/// Screens a pair from the host's own events (screen_relocation): kNoRoom
+/// and kRejected prove that h2_candidate's rewrite is not adopted.
+/// `before` is the engine's state just before `pair.deletion`.
+RelocationVerdict h2_screen(const IncrementalEvaluator& eval, const ExecutionState& before,
+                            const H2Pair& pair);
+
+/// Builds H2's rewrite of a pair into `cand` and scores it: the direct form
+/// when the host has room before the deletion, else the fallback that pulls
+/// the host's later deletions forward. nullopt when the fallback cannot make
+/// room. H2 adopts the rewrite iff it has fewer dummy transfers than the base
+/// and the engine's is_valid accepts it.
+std::optional<IncrementalEvaluator::Metrics> h2_candidate(const IncrementalEvaluator& eval,
+                                                          const ExecutionState& before,
+                                                          const H2Pair& pair, Schedule& cand);
 
 struct H2Options {
   /// Candidate hosts are ranked by added transfer cost; this caps how many

@@ -21,9 +21,12 @@ class Op1Run {
         options_(options) {}
 
   void run() {
-    build_index(eval_.schedule());
+    const Schedule& h = eval_.schedule();
     for (ObjectId k = 0; k < model_.num_objects(); ++k) {
-      if (transfers_[k].size() >= 2) round_objects_.push_back(k);
+      const auto& events = eval_.positions().of_object(k);
+      const auto transfers = std::count_if(events.begin(), events.end(),
+                                           [&](std::size_t p) { return h[p].is_transfer(); });
+      if (transfers >= 2) round_objects_.push_back(k);
     }
     if (round_objects_.empty()) return;
 
@@ -83,7 +86,6 @@ class Op1Run {
           const std::size_t idx = (start + step + w) % round_objects_.size();
           OBS_COUNT("op1.adopted");
           eval_.adopt(slots[w].cand, slots[w].m);  // copy; the slot buffer stays warm
-          update_index(eval_.schedule(), slots[w].m.prefix, slots[w].m.cand_suffix_start);
           resume_object = round_objects_[idx];
           adopted = true;
           break;
@@ -106,53 +108,11 @@ class Op1Run {
     ExecutionState prefix_state;
     IncrementalEvaluator::Scratch eval_scratch;
     std::vector<char> holds;
+    std::vector<std::size_t> transfers;  ///< positions of the screened object's transfers
     Schedule cand;
     IncrementalEvaluator::Metrics m;
     bool found = false;
   };
-
-  void build_index(const Schedule& h) {
-    events_.assign(model_.num_objects(), {});
-    transfers_.assign(model_.num_objects(), {});
-    win_events_.resize(model_.num_objects());
-    win_transfers_.resize(model_.num_objects());
-    for (std::size_t p = 0; p < h.size(); ++p) {
-      events_[h[p].object].push_back(p);
-      if (h[p].is_transfer()) transfers_[h[p].object].push_back(p);
-    }
-  }
-
-  /// Splices the base's new window [lo, hi) into the per-object position
-  /// index. Positions outside the window are unchanged (adopted candidates
-  /// are size-preserving), so only entries inside it are replaced.
-  void update_index(const Schedule& h, std::size_t lo, std::size_t hi) {
-    if (lo >= hi) return;
-    for (std::size_t p = lo; p < hi; ++p) {
-      const Action& a = h[p];
-      if (win_events_[a.object].empty()) win_objects_.push_back(a.object);
-      win_events_[a.object].push_back(p);
-      if (a.is_transfer()) win_transfers_[a.object].push_back(p);
-    }
-    for (ObjectId k = 0; k < model_.num_objects(); ++k) {
-      splice(events_[k], win_events_[k], lo, hi);
-      splice(transfers_[k], win_transfers_[k], lo, hi);
-    }
-    for (ObjectId k : win_objects_) {
-      win_events_[k].clear();
-      win_transfers_[k].clear();
-    }
-    win_objects_.clear();
-  }
-
-  static void splice(std::vector<std::size_t>& list, const std::vector<std::size_t>& add,
-                     std::size_t lo, std::size_t hi) {
-    const auto first = std::lower_bound(list.begin(), list.end(), lo);
-    const auto last = std::lower_bound(first, list.end(), hi);
-    if (first == last && add.empty()) return;
-    const auto at = static_cast<std::size_t>(first - list.begin());
-    list.erase(first, last);
-    list.insert(list.begin() + static_cast<std::ptrdiff_t>(at), add.begin(), add.end());
-  }
 
   /// First improving pair for object `k`, in the same (a, b) scan order as
   /// the original sequential implementation. On success the candidate and
@@ -160,13 +120,17 @@ class Op1Run {
   /// several objects concurrently with distinct slots.
   bool screen_object(ObjectId k, Slot& s) const {
     const Schedule& h = eval_.schedule();
-    const std::vector<std::size_t>& positions = transfers_[k];
+    std::vector<std::size_t>& positions = s.transfers;
+    positions.clear();
+    for (std::size_t p : eval_.positions().of_object(k)) {
+      if (h[p].is_transfer()) positions.push_back(p);
+    }
     for (std::size_t a = 0; a + 1 < positions.size(); ++a) {
       for (std::size_t b = a + 1; b < positions.size(); ++b) {
         const std::size_t u = positions[a];
         const std::size_t v = positions[b];
         OBS_COUNT("op1.candidates");
-        if (options_.prescreen && estimate_delta(h, k, u, v, s.holds) >= 0) {
+        if (options_.prescreen && estimate_delta(h, k, u, v, positions, s.holds) >= 0) {
           OBS_COUNT("op1.prescreen_rejects");
           continue;
         }
@@ -187,6 +151,7 @@ class Op1Run {
   /// candidate cost decides adoption. O(|k's actions|) via the position
   /// index instead of a full-schedule scan.
   Cost estimate_delta(const Schedule& h, ObjectId k, std::size_t u, std::size_t v,
+                      const std::vector<std::size_t>& transfers,
                       std::vector<char>& holds) const {
     const ServerId i = h[v].server;
     if (h[u].server == i) return 0;
@@ -194,7 +159,7 @@ class Op1Run {
     // Replicators of k just before position u: replay only k's actions.
     std::fill(holds.begin(), holds.end(), 0);
     x_old_.for_each_replicator(k, [&](ServerId s) { holds[s] = 1; });
-    for (std::size_t p : events_[k]) {
+    for (std::size_t p : eval_.positions().of_object(k)) {
       if (p >= u) break;
       const Action& a = h[p];
       holds[a.server] = a.is_transfer() ? 1 : 0;
@@ -209,7 +174,7 @@ class Op1Run {
     const LinkCost old_src = model_.source_link_cost(i, h[v].source);
     const Size size = model_.object_size(k);
     Cost delta = size * (new_src - old_src);
-    for (std::size_t w : transfers_[k]) {
+    for (std::size_t w : transfers) {
       if (w < u || w == v) continue;
       const ServerId d = h[w].server;
       if (d == i) continue;
@@ -275,7 +240,7 @@ class Op1Run {
       }
     }
     if (bound == s.cand.size()) {
-      for (std::size_t p : events_[k]) {
+      for (std::size_t p : eval_.positions().of_object(k)) {
         if (p <= v) continue;
         if (h[p].is_delete() && h[p].server == i) {
           bound = p;
@@ -296,7 +261,7 @@ class Op1Run {
     for (std::size_t p = t_pos + 1; p < bound && p <= v; ++p) {
       if (s.cand[p].object == k) resource(p);
     }
-    for (std::size_t p : events_[k]) {
+    for (std::size_t p : eval_.positions().of_object(k)) {
       if (p <= v) continue;
       if (p >= bound) break;
       resource(p);
@@ -309,15 +274,7 @@ class Op1Run {
   const ReplicationMatrix& x_old_;
   const Op1Options& options_;
 
-  /// Sorted positions of every action / every transfer of each object in
-  /// the engine's base schedule, maintained incrementally across adoptions.
-  std::vector<std::vector<std::size_t>> events_;
-  std::vector<std::vector<std::size_t>> transfers_;
   std::vector<ObjectId> round_objects_;  ///< objects with >= 2 transfers
-  // update_index scratch (kept hot across adoptions).
-  std::vector<std::vector<std::size_t>> win_events_;
-  std::vector<std::vector<std::size_t>> win_transfers_;
-  std::vector<ObjectId> win_objects_;
 };
 
 }  // namespace

@@ -183,4 +183,107 @@ SpaceRepairResult pull_deletions_for_space(const SystemModel& model,
   return result;
 }
 
+std::size_t preceding_deletion(const IncrementalEvaluator& eval, std::size_t pos,
+                               ObjectId object) {
+  const Schedule& h = eval.schedule();
+  const std::vector<std::size_t>& events = eval.positions().of_object(object);
+  for (auto it = std::lower_bound(events.begin(), events.end(), pos);
+       it != events.begin();) {
+    --it;
+    if (h[*it].is_delete()) return *it;
+  }
+  return npos;
+}
+
+RelocationVerdict screen_relocation(const IncrementalEvaluator& eval,
+                                    const ExecutionState& before, const Relocation& r) {
+  // Every argument below assumes the base replays strictly.
+  if (!eval.base_valid()) return RelocationVerdict::kOpen;
+  const SystemModel& model = eval.model();
+  const Schedule& h = eval.schedule();
+  const PositionIndex& index = eval.positions();
+  const std::vector<std::size_t>& events = index.of_server(r.server);
+  const auto first = std::upper_bound(events.begin(), events.end(), r.at);
+  const auto pull_last = std::lower_bound(first, events.end(), r.pull_end);
+  const Size needed = model.object_size(r.object);
+  Size free = model.capacity(r.server) - before.used(r.server);
+
+  // Mirror of pull_deletions_for_space's two phases. Standalone status is
+  // fixed during phase 0 (nothing is re-sourced), and phase 1 only runs once
+  // phase 0 has pulled every standalone deletion, so both phases pull in
+  // base order and phase 1 takes exactly the deletions that have readers.
+  std::vector<char> pulled(static_cast<std::size_t>(pull_last - first), 0);
+  std::vector<ObjectId> pulled_objects;
+  std::uint64_t work = 1;  // events visited, charged to the budget meter
+  bool invalid = false;   // a pulled deletion finds no replica to delete
+  bool orphaned = false;  // a reader of a pulled replica is left without a holder
+  bool recursed = false;  // H1 turns the readers into dummies and recurses
+  for (int phase = 0; phase < 2 && free < needed; ++phase) {
+    for (auto it = first; it != pull_last && free < needed; ++it) {
+      ++work;
+      const Action& del = h[*it];
+      if (!del.is_delete() || del.object == r.object) continue;
+      const ObjectId x = del.object;
+      bool has_readers = false;
+      bool stranded = false;
+      auto holders = static_cast<std::int64_t>(before.replica_count(x));
+      for (std::size_t p : index.of_object(x)) {
+        ++work;
+        if (p >= *it) break;
+        if (p < r.at) continue;
+        const Action& a = h[p];
+        if (a.is_transfer() && a.source == r.server) {
+          has_readers = true;
+          // Holders of x other than the server when this reader runs (the
+          // server holds x then, since the base reads it there).
+          if (holders <= 1) stranded = true;
+        }
+        holders += a.is_transfer() ? 1 : -1;
+      }
+      if (has_readers != (phase == 1)) continue;
+      if (phase == 1) {
+        if (r.policy == OrphanPolicy::Dummy) recursed = true;
+        if (stranded) orphaned = true;
+      }
+      const bool held = before.holds(r.server, x) &&
+                        std::find(pulled_objects.begin(), pulled_objects.end(), x) ==
+                            pulled_objects.end();
+      if (held) {
+        free += model.object_size(x);
+      } else {
+        invalid = true;
+      }
+      pulled_objects.push_back(x);
+      pulled[static_cast<std::size_t>(it - first)] = 1;
+    }
+  }
+  const auto verdict = [&](RelocationVerdict v) {
+    if (WorkMeter* meter = eval.meter()) meter->charge(work);
+    return v;
+  };
+  if (free < needed) return verdict(RelocationVerdict::kNoRoom);
+  if (recursed) return verdict(RelocationVerdict::kOpen);
+  if (invalid || orphaned) return verdict(RelocationVerdict::kRejected);
+
+  // Free space on the server from the inserted transfer up to `until`, as
+  // the candidate's strict replay would see it if every earlier action in it
+  // were valid. A transfer into the server that finds too little room (or
+  // its own copy of `object`) therefore proves the candidate invalid.
+  free -= needed;
+  for (auto it = first; it != events.end() && *it < r.until; ++it) {
+    ++work;
+    const auto offset = static_cast<std::size_t>(it - first);
+    if (offset < pulled.size() && pulled[offset]) continue;
+    const Action& a = h[*it];
+    const Size size = model.object_size(a.object);
+    if (a.is_delete()) {
+      free += size;
+      continue;
+    }
+    if (a.object == r.object || free < size) return verdict(RelocationVerdict::kRejected);
+    free -= size;
+  }
+  return verdict(RelocationVerdict::kOpen);
+}
+
 }  // namespace rtsp

@@ -13,6 +13,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "core/incremental.hpp"
 #include "core/schedule.hpp"
 #include "core/state.hpp"
 
@@ -90,5 +91,46 @@ SpaceRepairResult pull_deletions_for_space(const SystemModel& model,
 
 /// Index of the last deletion of `object` strictly before `pos`, or npos.
 std::size_t find_preceding_deletion(const Schedule& h, std::size_t pos, ObjectId object);
+
+/// find_preceding_deletion on the engine's base schedule, through its
+/// per-object position index.
+std::size_t preceding_deletion(const IncrementalEvaluator& eval, std::size_t pos,
+                               ObjectId object);
+
+/// A relocated transfer as H1 and H2 build it on the engine's base schedule:
+/// a transfer of `object` onto `server` is inserted just before base
+/// position `at` (a deletion of `object`), room for it is made by
+/// pull_deletions_for_space over the server's deletions at base positions
+/// in (at, pull_end), and the server's new replica stands in for the dummy
+/// transfer at base position `until`, so from there on it no longer adds to
+/// the server's usage. The server must not hold `object` just before `at`.
+struct Relocation {
+  ServerId server = 0;
+  ObjectId object = 0;
+  std::size_t at = 0;
+  std::size_t until = 0;
+  std::size_t pull_end = 0;
+  OrphanPolicy policy = OrphanPolicy::Dummy;
+};
+
+enum class RelocationVerdict {
+  kNoRoom,    ///< pull_deletions_for_space cannot make room for the transfer
+  kRejected,  ///< the rewrite is built but cannot pass the improver's strict
+              ///< dummy-count gate and the engine's is_valid
+  kOpen,      ///< not decided here: build, score and validate the rewrite
+};
+
+/// Decides a relocation from the server's own events and the object index,
+/// without copying the schedule. Re-derives which deletions
+/// pull_deletions_for_space pulls and, under OrphanPolicy::NearestElseDummy,
+/// whether every orphaned reader keeps another holder (else it becomes a new
+/// dummy and the dummy count cannot drop). Then walks the server's free
+/// space from the inserted transfer to `until`. Under OrphanPolicy::Dummy a
+/// repair that needs non-standalone pulls is kOpen (H1 recurses on the
+/// orphans). kRejected and kNoRoom are proofs, never guesses: see
+/// DESIGN.md §8. `before` is the engine's state just before base position
+/// `at`. O(server events × object events) in the worst case.
+RelocationVerdict screen_relocation(const IncrementalEvaluator& eval,
+                                    const ExecutionState& before, const Relocation& r);
 
 }  // namespace rtsp

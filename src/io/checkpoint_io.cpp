@@ -20,9 +20,10 @@ namespace rtsp {
 
 namespace {
 
-constexpr char kCheckpointMagic[8] = {'R', 'T', 'S', 'P', 'C', 'K', 'P', '1'};
+constexpr char kCheckpointMagic[8] = {'R', 'T', 'S', 'P', 'C', 'K', 'P', '2'};
+constexpr char kCheckpointMagicV1[8] = {'R', 'T', 'S', 'P', 'C', 'K', 'P', '1'};
 constexpr char kWalMagic[8] = {'R', 'T', 'S', 'P', 'W', 'A', 'L', '1'};
-constexpr std::uint32_t kCheckpointVersion = 1;
+constexpr std::uint32_t kCheckpointVersion = 2;
 constexpr std::uint32_t kWalVersion = 1;
 constexpr std::size_t kWalHeaderBytes = 8 + 4 + 4 + 8;  // magic,ver,res,gen
 constexpr std::uint64_t kMaxPairs = std::uint64_t{1} << 32;
@@ -148,6 +149,22 @@ std::vector<std::pair<ServerId, ObjectId>> get_pairs(Cursor& c,
   return pairs;
 }
 
+/// Sorted, duplicate-free copy (version-1 targets carry set semantics).
+PairList canonical(PairList pairs) {
+  std::sort(pairs.begin(), pairs.end());
+  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+  return pairs;
+}
+
+void require_canonical(const PairList& pairs, const char* what) {
+  for (std::size_t i = 1; i < pairs.size(); ++i) {
+    if (!(pairs[i - 1] < pairs[i])) {
+      throw std::runtime_error(std::string("pair delta: ") + what +
+                               " pairs out of canonical order");
+    }
+  }
+}
+
 std::string read_whole_file(const std::string& path, const char* what) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {
@@ -243,6 +260,61 @@ DaemonCounters parse_counters(Cursor& c) {
 
 }  // namespace
 
+PairDelta pair_delta(const PairList& from, const PairList& to) {
+  PairDelta d;
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < from.size() || j < to.size()) {
+    if (j == to.size() || (i < from.size() && from[i] < to[j])) {
+      d.removed.push_back(from[i++]);
+    } else if (i == from.size() || to[j] < from[i]) {
+      d.added.push_back(to[j++]);
+    } else {
+      ++i;
+      ++j;
+    }
+  }
+  return d;
+}
+
+PairList apply_pair_delta(const PairList& base, const PairDelta& delta) {
+  require_canonical(base, "base");
+  require_canonical(delta.added, "added");
+  require_canonical(delta.removed, "removed");
+  PairList out;
+  out.reserve(base.size() + delta.added.size());
+  std::size_t a = 0;
+  std::size_t r = 0;
+  for (const auto& pair : base) {
+    while (a < delta.added.size() && delta.added[a] < pair) out.push_back(delta.added[a++]);
+    if (a < delta.added.size() && delta.added[a] == pair) {
+      throw std::runtime_error("pair delta: added pair already present");
+    }
+    if (r < delta.removed.size() && delta.removed[r] < pair) break;  // absent
+    if (r < delta.removed.size() && delta.removed[r] == pair) {
+      ++r;
+      continue;
+    }
+    out.push_back(pair);
+  }
+  if (r < delta.removed.size()) {
+    throw std::runtime_error("pair delta: removed pair not present");
+  }
+  out.insert(out.end(), delta.added.begin() + static_cast<std::ptrdiff_t>(a),
+             delta.added.end());
+  return out;
+}
+
+std::vector<PairList> checkpoint_queue_targets(const CheckpointDoc& doc) {
+  std::vector<PairList> targets;
+  targets.reserve(doc.queue.size());
+  for (const CheckpointQueueEntry& e : doc.queue) {
+    targets.push_back(apply_pair_delta(targets.empty() ? doc.placement : targets.back(),
+                                       e.target));
+  }
+  return targets;
+}
+
 void write_checkpoint_file(const std::string& path, const CheckpointDoc& doc,
                            bool fsync) {
   std::string body;
@@ -261,7 +333,8 @@ void write_checkpoint_file(const std::string& path, const CheckpointDoc& doc,
     put_u32(body, e.attempt);
     put_u32(body, 0);  // reserved / alignment
     put_i64(body, e.not_before);
-    put_pairs(body, e.target);
+    put_pairs(body, e.target.added);
+    put_pairs(body, e.target.removed);
   }
 
   std::string bytes(kCheckpointMagic, sizeof kCheckpointMagic);
@@ -292,13 +365,16 @@ CheckpointDoc read_checkpoint_file(const std::string& path) {
     throw std::runtime_error(std::string(kWhat) + ": file too short (" +
                              std::to_string(bytes.size()) + " bytes)");
   }
-  if (std::memcmp(bytes.data(), kCheckpointMagic, sizeof kCheckpointMagic) !=
-      0) {
+  // Version 1 stored every queue entry's full target.
+  const bool v1 =
+      std::memcmp(bytes.data(), kCheckpointMagicV1, sizeof kCheckpointMagicV1) == 0;
+  if (!v1 &&
+      std::memcmp(bytes.data(), kCheckpointMagic, sizeof kCheckpointMagic) != 0) {
     throw std::runtime_error(std::string(kWhat) + ": bad magic");
   }
   Cursor head(bytes.data() + 8, 8, kWhat);
   const std::uint32_t version = head.u32();
-  if (version != kCheckpointVersion) {
+  if (version != (v1 ? 1u : kCheckpointVersion)) {
     throw std::runtime_error(std::string(kWhat) + ": unsupported version " +
                              std::to_string(version));
   }
@@ -332,13 +408,22 @@ CheckpointDoc read_checkpoint_file(const std::string& path) {
     throw std::runtime_error(std::string(kWhat) + ": absurd queue count");
   }
   doc.queue.reserve(static_cast<std::size_t>(queue_count));
+  PairList previous;  // v1: the previous entry's full target
+  if (v1) previous = canonical(doc.placement);
   for (std::uint64_t i = 0; i < queue_count; ++i) {
     CheckpointQueueEntry e;
     e.seq = c.u64();
     e.attempt = c.u32();
     (void)c.u32();  // reserved
     e.not_before = c.i64();
-    e.target = get_pairs(c, kWhat);
+    if (v1) {
+      PairList target = canonical(get_pairs(c, kWhat));
+      e.target = pair_delta(previous, target);
+      previous = std::move(target);
+    } else {
+      e.target.added = get_pairs(c, kWhat);
+      e.target.removed = get_pairs(c, kWhat);
+    }
     doc.queue.push_back(std::move(e));
   }
   if (!c.at_end()) {

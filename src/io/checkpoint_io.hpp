@@ -1,8 +1,8 @@
 // Crash-safe persistence for the continuous rebalancing daemon
-// (`rtsp serve`): a CRC-guarded binary checkpoint (`RTSPCKP1`) written
-// atomically (tmp + fsync + rename + directory fsync), and a CRC-framed
-// append-only write-ahead log (`RTSPWAL1`) whose records are fsync'd
-// before the daemon acts on them.
+// (`rtsp serve`): a CRC-guarded binary checkpoint (`RTSPCKP2`; `RTSPCKP1`
+// is still read) written atomically (tmp + fsync + rename + directory
+// fsync), and a CRC-framed append-only write-ahead log (`RTSPWAL1`) whose
+// records are fsync'd before the daemon acts on them.
 //
 // Recovery contract (see docs/daemon.md):
 //   * The checkpoint snapshots the full daemon state — placement, virtual
@@ -59,15 +59,37 @@ struct DaemonCounters {
   bool operator==(const DaemonCounters&) const = default;
 };
 
-/// One pending epoch inside a checkpoint.
+/// Replica pairs (server, object) in canonical (server-major ascending) order.
+using PairList = std::vector<std::pair<ServerId, ObjectId>>;
+
+/// A placement as the difference from a base placement.
+struct PairDelta {
+  PairList added;    ///< pairs the base lacks, canonical order
+  PairList removed;  ///< pairs of the base to drop, canonical order
+
+  bool operator==(const PairDelta&) const = default;
+};
+
+/// The difference that turns canonical `from` into canonical `to`.
+PairDelta pair_delta(const PairList& from, const PairList& to);
+
+/// Applies `delta` to canonical `base`. Throws std::runtime_error when an
+/// added pair is already in `base`, a removed pair is not, or either list
+/// is out of canonical order.
+PairList apply_pair_delta(const PairList& base, const PairDelta& delta);
+
+/// One pending epoch inside a checkpoint. Its target is stored as the
+/// difference from the previous entry's target (the first entry's from the
+/// checkpoint's placement), so a backlog of small epochs costs the size of
+/// its moves, not one placement per epoch.
 struct CheckpointQueueEntry {
   std::uint64_t seq = 0;
   std::uint32_t attempt = 1;
   std::int64_t not_before = 0;  ///< virtual-clock re-admission gate
-  std::vector<std::pair<ServerId, ObjectId>> target;
+  PairDelta target;
 };
 
-/// Full daemon snapshot, version 1.
+/// Full daemon snapshot (written as version 2).
 struct CheckpointDoc {
   std::uint64_t generation = 0;  ///< increments per checkpoint; ties to the WAL
   std::uint64_t seed = 0;        ///< daemon seed (recovery refuses a mismatch)
@@ -88,9 +110,15 @@ struct CheckpointDoc {
 void write_checkpoint_file(const std::string& path, const CheckpointDoc& doc,
                            bool fsync = true);
 
-/// Parses and CRC-verifies a checkpoint. Throws std::runtime_error
+/// Parses and CRC-verifies a checkpoint, version 2 or 1 (whose full queue
+/// targets are converted to differences). Throws std::runtime_error
 /// prefixed "checkpoint parse error:" on any corruption.
 CheckpointDoc read_checkpoint_file(const std::string& path);
+
+/// The queue's full targets, in queue order: each entry's difference applied
+/// to the previous target, starting from the placement. Throws
+/// std::runtime_error (as apply_pair_delta) on an inconsistent difference.
+std::vector<PairList> checkpoint_queue_targets(const CheckpointDoc& doc);
 
 enum class WalRecordType : std::uint8_t {
   kAdmit = 1,   ///< an epoch entered the queue (external or re-admission replay)

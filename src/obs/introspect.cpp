@@ -311,8 +311,11 @@ struct IntrospectServer::Impl {
               body.size() > static_cast<std::size_t>(declared)) {
             body.resize(static_cast<std::size_t>(declared));
           }
-          conn.write_all(handle_request(request, std::move(body), route));
+          const std::string response = handle_request(request, std::move(body), route);
+          // Counted before the write: a client may see the whole response
+          // and read requests_served() before this thread runs again.
           served.fetch_add(1, std::memory_order_relaxed);
+          conn.write_all(response);
         }
       }
       conn.close();

@@ -60,6 +60,32 @@ TEST(PlacementDelta, PerServerViews) {
   EXPECT_EQ(d.servers_with_superfluous(), (std::vector<ServerId>{0}));
 }
 
+TEST(PlacementDelta, DenseWordDiffMatchesSparseScan) {
+  // 7 x 150 spans three words per row with a partial last word; the dense
+  // pair takes the word-parallel path, the sparse pair the per-replica scan.
+  Rng rng(41);
+  for (int trial = 0; trial < 20; ++trial) {
+    ReplicationMatrix dense_old(7, 150, ReplicationMatrix::Store::kDense);
+    ReplicationMatrix dense_new(7, 150, ReplicationMatrix::Store::kDense);
+    ReplicationMatrix sparse_old(7, 150, ReplicationMatrix::Store::kSparse);
+    ReplicationMatrix sparse_new(7, 150, ReplicationMatrix::Store::kSparse);
+    for (ServerId i = 0; i < 7; ++i) {
+      for (ObjectId k = 0; k < 150; ++k) {
+        const bool in_old = rng.uniform_int(0, 3) == 0;
+        const bool in_new = rng.uniform_int(0, 3) == 0;
+        dense_old.assign(i, k, in_old);
+        sparse_old.assign(i, k, in_old);
+        dense_new.assign(i, k, in_new);
+        sparse_new.assign(i, k, in_new);
+      }
+    }
+    const PlacementDelta dense(dense_old, dense_new);
+    const PlacementDelta sparse(sparse_old, sparse_new);
+    EXPECT_EQ(dense.outstanding(), sparse.outstanding());
+    EXPECT_EQ(dense.superfluous(), sparse.superfluous());
+  }
+}
+
 TEST(PlacementDelta, MismatchedShapesThrow) {
   const ReplicationMatrix a(2, 2);
   const ReplicationMatrix b(2, 3);

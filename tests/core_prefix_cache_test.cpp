@@ -43,6 +43,18 @@ void expect_matches_full_evaluation(const IncrementalEvaluator& eval,
             Validator::is_valid(inst.model, inst.x_old, inst.x_new, cand));
 }
 
+/// The engine's position index must equal one built from scratch.
+void expect_index_matches(const IncrementalEvaluator& eval) {
+  const PositionIndex fresh(eval.model().num_servers(), eval.model().num_objects(),
+                            eval.schedule());
+  for (ServerId i = 0; i < eval.model().num_servers(); ++i) {
+    EXPECT_EQ(eval.positions().of_server(i), fresh.of_server(i)) << "server " << i;
+  }
+  for (ObjectId k = 0; k < eval.model().num_objects(); ++k) {
+    EXPECT_EQ(eval.positions().of_object(k), fresh.of_object(k)) << "object " << k;
+  }
+}
+
 /// One random structure-preserving or structure-breaking edit. Returns the
 /// sound (prefix, suffix) hints for it.
 std::pair<std::size_t, std::size_t> mutate(Schedule& cand, const SystemModel& model,
@@ -137,8 +149,28 @@ TEST(IncrementalEvaluator, DifferentialAgainstValidatorAcrossSeededMutations) {
         EXPECT_EQ(eval.dummy_transfers(), eval.schedule().dummy_transfer_count());
         EXPECT_TRUE(Validator::is_valid(inst.model, inst.x_old, inst.x_new,
                                         eval.schedule()));
+        expect_index_matches(eval);
       }
     }
+  }
+}
+
+TEST(IncrementalEvaluator, PositionIndexFollowsImproverAdoptsAndResets) {
+  // H2 adopts candidates two actions longer than the base, so the index must
+  // shift every later position; OP1 and H1 adopts are length-preserving.
+  for (std::uint64_t trial = 0; trial < 12; ++trial) {
+    const Instance inst = make_instance(trial);
+    const Schedule start = seed_schedule(inst, trial);
+    IncrementalEvaluator eval(inst.model, inst.x_old, inst.x_new, start);
+    expect_index_matches(eval);
+    Rng rng(trial);
+    const Pipeline chain = make_pipeline("GOLCF+H1+H2+OP1");
+    for (const auto& improver : chain.improvers()) {
+      improver->improve_incremental(eval, rng);
+      expect_index_matches(eval);
+    }
+    eval.reset(start);
+    expect_index_matches(eval);
   }
 }
 

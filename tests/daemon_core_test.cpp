@@ -518,5 +518,55 @@ TEST(DaemonCore, CrashBeforeWalRotationDiscardsStaleWal) {
   EXPECT_TRUE(core->placement() == targets.back());
 }
 
+TEST(DaemonCore, BacklogCheckpointGrowsWithMovesAndRecoversBitIdentically) {
+  // The daemon-drift shape: M=100, N=5000, 1-3 replicas, 16-move epochs. A
+  // stall queues 200 of them; the checkpoint must stay within 2x of an
+  // empty-queue one (a full target per entry would make it about 200x).
+  RandomInstanceSpec spec;
+  spec.servers = 100;
+  spec.objects = 5000;
+  spec.capacity_slack = 0.1;
+  Rng rng(11);
+  const Instance inst = random_instance(spec, rng);
+  EpochStreamSpec stream;
+  stream.count = 200;
+  stream.moves = 16;
+  Rng stream_rng(12);
+  const auto targets = make_epoch_stream(inst.model, inst.x_old, stream, stream_rng);
+
+  const std::string dir = fresh_dir("backlog");
+  DaemonOptions o = durable_options(dir);
+  o.queue_depth = targets.size();
+  const auto checkpoint_bytes = [&] {
+    return std::filesystem::file_size(dir + "/checkpoint");
+  };
+  DaemonCore core(inst.model, inst.x_old, o);
+  core.checkpoint_now();
+  const auto empty_queue = checkpoint_bytes();
+  for (const auto& t : targets) ASSERT_TRUE(core.admit(t).accepted());
+  core.checkpoint_now();
+  EXPECT_LT(checkpoint_bytes(), 2 * empty_queue);
+
+  // Crash right after that checkpoint; the live core carries on in memory.
+  core.abandon();
+  RecoverReport report;
+  DaemonCore recovered(inst.model, inst.x_old, o, report);
+  EXPECT_TRUE(report.had_checkpoint);
+  EXPECT_EQ(recovered.status().queue_depth, targets.size());
+  core.run_until_idle();
+  recovered.run_until_idle();
+  const DaemonCore::Status expected = core.status();
+  const DaemonCore::Status got = recovered.status();
+  EXPECT_EQ(got.placement_crc, expected.placement_crc);
+  EXPECT_EQ(got.clock, expected.clock);
+  EXPECT_EQ(got.last_seq, expected.last_seq);
+  DaemonCounters a = expected.counters;
+  DaemonCounters b = got.counters;
+  a.checkpoints = b.checkpoints = 0;
+  a.recoveries = b.recoveries = 0;
+  EXPECT_TRUE(a == b);
+  EXPECT_TRUE(recovered.placement() == targets.back());
+}
+
 }  // namespace
 }  // namespace rtsp

@@ -1,4 +1,5 @@
-// Checkpoint ("RTSPCKP1") and WAL ("RTSPWAL1") persistence: round-trips,
+// Checkpoint ("RTSPCKP2", and reading "RTSPCKP1") and WAL ("RTSPWAL1")
+// persistence: round-trips, queue target differences,
 // the append/rotate protocol, and the corruption negative suite — every
 // damaged image must surface as a clean error (checkpoint) or a detected
 // torn tail (WAL), never be silently accepted.
@@ -20,6 +21,10 @@ std::string temp_path(const std::string& name) {
   return testing::TempDir() + "/" + std::to_string(::getpid()) + "_" + name;
 }
 
+// Full targets of sample_doc()'s two queue entries.
+const PairList kTarget1 = {{0, 0}, {1, 1}, {3, 5}};
+const PairList kTarget2 = {{2, 2}};
+
 CheckpointDoc sample_doc() {
   CheckpointDoc doc;
   doc.generation = 3;
@@ -34,10 +39,10 @@ CheckpointDoc sample_doc() {
   e1.seq = 8;
   e1.attempt = 2;
   e1.not_before = 1500;
-  e1.target = {{0, 0}, {1, 1}, {3, 5}};
+  e1.target = pair_delta(doc.placement, kTarget1);
   CheckpointQueueEntry e2;
   e2.seq = 9;
-  e2.target = {{2, 2}};
+  e2.target = pair_delta(kTarget1, kTarget2);
   doc.queue = {e1, e2};
   doc.counters.admitted = 9;
   doc.counters.converged = 7;
@@ -81,7 +86,117 @@ TEST(CheckpointIo, RoundTripsFullDocument) {
   EXPECT_EQ(back.queue[0].not_before, 1500);
   EXPECT_EQ(back.queue[0].target, doc.queue[0].target);
   EXPECT_EQ(back.queue[1].target, doc.queue[1].target);
+  EXPECT_EQ(checkpoint_queue_targets(back), (std::vector<PairList>{kTarget1, kTarget2}));
   EXPECT_TRUE(back.counters == doc.counters);
+}
+
+/// A version-1 image of `doc` (full queue targets), as the previous writer
+/// produced it.
+std::string v1_image(const CheckpointDoc& doc, const std::vector<PairList>& targets) {
+  std::string body;
+  const auto u32 = [&body](std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) body.push_back(static_cast<char>(v >> (8 * i)));
+  };
+  const auto u64 = [&body](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) body.push_back(static_cast<char>(v >> (8 * i)));
+  };
+  const auto pairs = [&](const PairList& list) {
+    u64(list.size());
+    for (const auto& [srv, obj] : list) {
+      u32(srv);
+      u32(obj);
+    }
+  };
+  for (std::uint64_t v : {doc.generation, doc.seed, doc.last_seq,
+                          static_cast<std::uint64_t>(doc.clock), doc.servers,
+                          doc.objects, doc.model_crc}) {
+    u64(v);
+  }
+  const DaemonCounters& c = doc.counters;
+  for (std::uint64_t v : {c.admitted, c.converged, c.partial_rounds, c.readmissions,
+                          c.coalesced, c.rejected, c.infeasible, c.checkpoints,
+                          c.recoveries, c.actions_applied,
+                          static_cast<std::uint64_t>(c.cost_paid)}) {
+    u64(v);
+  }
+  pairs(doc.placement);
+  u64(doc.queue.size());
+  for (std::size_t i = 0; i < doc.queue.size(); ++i) {
+    u64(doc.queue[i].seq);
+    u32(doc.queue[i].attempt);
+    u32(0);
+    u64(static_cast<std::uint64_t>(doc.queue[i].not_before));
+    pairs(targets[i]);
+  }
+  const std::uint32_t crc = crc32_ieee(body);
+  std::string bytes = "RTSPCKP1";
+  for (std::uint32_t v : {1u, 0u}) {
+    for (int i = 0; i < 4; ++i) bytes.push_back(static_cast<char>(v >> (8 * i)));
+  }
+  bytes += body;
+  for (int i = 0; i < 4; ++i) bytes.push_back(static_cast<char>(crc >> (8 * i)));
+  return bytes;
+}
+
+TEST(CheckpointIo, ReadsVersionOneImages) {
+  const std::string path = temp_path("ckp_v1");
+  const CheckpointDoc doc = sample_doc();
+  const std::string image = v1_image(doc, {kTarget1, kTarget2});
+  spit(path, std::vector<char>(image.begin(), image.end()));
+  const CheckpointDoc back = read_checkpoint_file(path);
+  EXPECT_EQ(back.generation, doc.generation);
+  EXPECT_EQ(back.placement, doc.placement);
+  EXPECT_TRUE(back.counters == doc.counters);
+  ASSERT_EQ(back.queue.size(), 2u);
+  EXPECT_EQ(back.queue[0].target, doc.queue[0].target);
+  EXPECT_EQ(back.queue[1].target, doc.queue[1].target);
+  EXPECT_EQ(checkpoint_queue_targets(back), (std::vector<PairList>{kTarget1, kTarget2}));
+}
+
+TEST(CheckpointIo, QueueCostsItsDifferencesNotOnePlacementPerEntry) {
+  // 200 entries that each drop one replica of a 5000-pair placement (the
+  // size of daemon-drift's N=5000 placement). Version 1 stored one full
+  // target per entry, about 200x the empty-queue file.
+  CheckpointDoc doc = sample_doc();
+  doc.queue.clear();
+  doc.servers = 50;
+  doc.objects = 100;
+  doc.placement.clear();
+  for (ServerId s = 0; s < 50; ++s) {
+    for (ObjectId k = 0; k < 100; ++k) doc.placement.emplace_back(s, k);
+  }
+  const std::string empty_path = temp_path("ckp_empty_queue");
+  write_checkpoint_file(empty_path, doc, false);
+  PairList target = doc.placement;
+  for (std::uint64_t seq = 1; seq <= 200; ++seq) {
+    PairList next = target;
+    next.erase(next.begin() + static_cast<long>(seq % next.size()));
+    CheckpointQueueEntry e;
+    e.seq = seq;
+    e.target = pair_delta(target, next);
+    doc.queue.push_back(e);
+    target = std::move(next);
+  }
+  const std::string full_path = temp_path("ckp_full_queue");
+  write_checkpoint_file(full_path, doc, false);
+  EXPECT_LT(slurp(full_path).size(), 2 * slurp(empty_path).size());
+  EXPECT_EQ(checkpoint_queue_targets(read_checkpoint_file(full_path)).back(), target);
+}
+
+TEST(PairDelta, AppliesAndRefusesInconsistentDifferences) {
+  const PairList base = {{0, 1}, {0, 3}, {2, 0}};
+  const PairList to = {{0, 0}, {0, 3}, {1, 4}, {2, 0}};
+  const PairDelta d = pair_delta(base, to);
+  EXPECT_EQ(d.added, (PairList{{0, 0}, {1, 4}}));
+  EXPECT_EQ(d.removed, (PairList{{0, 1}}));
+  EXPECT_EQ(apply_pair_delta(base, d), to);
+  EXPECT_EQ(apply_pair_delta(base, PairDelta{}), base);
+  // Adding a present pair, removing an absent one, or out-of-order lists.
+  EXPECT_THROW(apply_pair_delta(base, PairDelta{{{0, 3}}, {}}), std::runtime_error);
+  EXPECT_THROW(apply_pair_delta(base, PairDelta{{}, {{1, 1}}}), std::runtime_error);
+  EXPECT_THROW(apply_pair_delta(base, PairDelta{{}, {{3, 0}}}), std::runtime_error);
+  EXPECT_THROW(apply_pair_delta(base, PairDelta{{{1, 5}, {1, 4}}, {}}),
+               std::runtime_error);
 }
 
 TEST(CheckpointIo, RewriteIsAtomicReplacement) {

@@ -9,7 +9,7 @@
 //                               scrape /metrics /healthz /progress /logz
 //                               over real HTTP and lint the payloads
 //                               (curl-free; used by scripts/check.sh)
-//   obs_lint --checkpoint FILE  daemon checkpoint (`RTSPCKP1`)
+//   obs_lint --checkpoint FILE  daemon checkpoint (`RTSPCKP2` or `RTSPCKP1`)
 //   obs_lint --wal FILE         daemon write-ahead log (`RTSPWAL1`)
 //
 // Any combination may be given. Checks beyond "it parses":
@@ -28,7 +28,8 @@
 //   prom:    every line a header or sample; TYPE before samples; histogram
 //            buckets cumulative with le="+Inf" last and equal to _count.
 //   checkpoint: CRC-verified parse; canonical (server-major ascending,
-//            duplicate-free, in-bounds) placement and queue targets;
+//            duplicate-free, in-bounds) placement and queue target
+//            differences, each applying cleanly to the target before it;
 //            queue seqs unique/ascending and <= last_seq; counters
 //            internally consistent.
 //   wal:     CRC-framed parse; a torn tail is a violation (a daemon at
@@ -371,8 +372,14 @@ void lint_checkpoint(const std::string& path) {
            " above last_seq " + std::to_string(doc.last_seq));
     }
     if (q.attempt == 0) fail("checkpoint queue: zero attempt");
-    lint_pairs(q.target, doc.servers, doc.objects,
-               "checkpoint queue seq " + std::to_string(q.seq));
+    const std::string what = "checkpoint queue seq " + std::to_string(q.seq);
+    lint_pairs(q.target.added, doc.servers, doc.objects, what + " added");
+    lint_pairs(q.target.removed, doc.servers, doc.objects, what + " removed");
+  }
+  try {
+    rtsp::checkpoint_queue_targets(doc);
+  } catch (const std::exception& e) {
+    fail(std::string("checkpoint queue: ") + e.what());
   }
   const rtsp::DaemonCounters& c = doc.counters;
   if (c.converged > c.admitted) {
